@@ -10,7 +10,7 @@
 // bank counts; our adapter defaults to 4 lines in system runs and 8 in the
 // sensitivity harness.
 #include "bench_common.hpp"
-#include "systems/sensitivity.hpp"
+#include "systems/stream_harness.hpp"
 
 namespace {
 

@@ -14,7 +14,7 @@
 
 #include "bench_common.hpp"
 #include "mem/dram_timing.hpp"
-#include "systems/channel_sweep.hpp"
+#include "systems/stream_harness.hpp"
 
 namespace {
 

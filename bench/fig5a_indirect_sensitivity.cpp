@@ -7,7 +7,7 @@
 // / 80% ideal for 32-bit elements with 32/16/8-bit indices); prime bank
 // counts bring no inherent advantage for random accesses.
 #include "bench_common.hpp"
-#include "systems/sensitivity.hpp"
+#include "systems/stream_harness.hpp"
 
 namespace {
 

@@ -6,7 +6,7 @@
 // everywhere; larger elements see fewer conflicts. 17 banks deliver ~95% of
 // ideal performance on strided reads.
 #include "bench_common.hpp"
-#include "systems/sensitivity.hpp"
+#include "systems/stream_harness.hpp"
 
 namespace {
 
@@ -15,25 +15,25 @@ using namespace axipack;
 void emit(bench::BenchContext& ctx) {
   bench::figure_header("Fig. 5b",
                        "strided read utilization (avg over strides 0..63)");
-  auto spec =
+  const auto& results = ctx.run(
       sys::ExperimentSpec("fig5b")
           .param_axis("elem_bits", "elem_bits", {32, 64, 128, 256})
           .param_axis("banks", "banks", {8, 11, 16, 17, 31, 32})
           .runner([](const sys::GridPoint& p) {
+            sys::SensitivityConfig cfg;
+            cfg.banks = static_cast<unsigned>(p.param("banks"));
+            cfg.elem_bits = static_cast<unsigned>(p.param("elem_bits"));
+            cfg.num_bursts = 4;  // short steady-state run per stride
+            const int max_stride = p.quick ? 15 : 63;
+            double sum = 0.0;
+            for (int s = 0; s <= max_stride; ++s) {
+              cfg.stride_elems = s;
+              sum += sys::measure_read_utilization(cfg).r_util;
+            }
             sys::PointResult out;
-            out.metrics["r_util_avg"] = sys::strided_util_avg(
-                static_cast<unsigned>(p.param("elem_bits")),
-                static_cast<unsigned>(p.param("banks")),
-                /*bus_bytes=*/32,
-                /*max_stride=*/p.quick ? 15 : 63);
+            out.metrics["r_util_avg"] = sum / (max_stride + 1);
             return out;
-          });
-  // strided_util_avg fans its per-stride runs over its own thread pool,
-  // so the outer grid stays serial — pinned after prepare() so a --threads
-  // flag cannot reintroduce nested pools.
-  ctx.prepare(spec);
-  spec.threads(1);
-  const auto& results = ctx.report(spec.run());
+          }));
   double util17_sum = 0.0;
   int util17_count = 0;
   for (const sys::ResultRow& row : results.rows()) {

@@ -12,13 +12,13 @@
 //
 // Usage: dma_transform [matrix_dim]           (default 256)
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
 #include "dma/descriptor.hpp"
 #include "dma/engine.hpp"
+#include "example_args.hpp"
 #include "systems/scenario.hpp"
 #include "systems/system.hpp"
 #include "util/table.hpp"
@@ -51,8 +51,8 @@ struct Fabric {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t n =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
+  const std::uint32_t n = examples::parse_args(
+      argc, argv, "dma_transform [matrix_dim]", {{256, 4096}})[0];
   std::printf("dma_transform: gathering one column of a %ux%u FP32 matrix "
               "into a contiguous buffer\n\n", n, n);
 

@@ -13,13 +13,13 @@
 //
 // Usage: multi_master [spmv_rows] [gather_dim]   (default 128 256)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dma/descriptor.hpp"
 #include "dma/engine.hpp"
+#include "example_args.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
 #include "systems/system.hpp"
@@ -27,10 +27,11 @@
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t rows =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 128;
-  const std::uint32_t dim =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 256;
+  const auto args = examples::parse_args(
+      argc, argv, "multi_master [spmv_rows] [gather_dim]",
+      {{128, 4096}, {256, 4096}});
+  const std::uint32_t rows = args[0];
+  const std::uint32_t dim = args[1];
 
   // --- The registered dual-master scenario: vproc + DMA share the fabric.
   auto system = sys::ScenarioRegistry::instance().build("dual-master-pack");

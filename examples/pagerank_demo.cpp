@@ -5,21 +5,21 @@
 //
 // Usage: pagerank_demo [nodes] [avg_degree] [iterations]
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "energy/power_model.hpp"
+#include "example_args.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t nodes =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
-  const std::uint32_t degree =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 32;
-  const std::uint32_t iters =
-      argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 8;
+  const auto args = examples::parse_args(
+      argc, argv, "pagerank_demo [nodes] [avg_degree] [iterations]",
+      {{256, 65536}, {32, 1024}, {8, 1000}});
+  const std::uint32_t nodes = args[0];
+  const std::uint32_t degree = args[1];
+  const std::uint32_t iters = args[2];
 
   std::printf("pagerank: %u nodes, avg in-degree %u, %u iterations\n\n", nodes,
               degree, iters);

@@ -4,18 +4,19 @@
 //
 // Usage: spmv_demo [rows] [avg_nnz_per_row]     (default 256 x 64)
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "example_args.hpp"
 #include "systems/runner.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace axipack;
-  const std::uint32_t rows =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 256;
-  const std::uint32_t nnz =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 64;
+  const auto args = examples::parse_args(
+      argc, argv, "spmv_demo [rows] [avg_nnz_per_row]",
+      {{256, 65536}, {64, 1024}});
+  const std::uint32_t rows = args[0];
+  const std::uint32_t nnz = args[1];
 
   std::printf("spmv: %u rows, ~%u nonzeros/row (CSR, FP32, 32-bit indices)\n\n",
               rows, nnz);

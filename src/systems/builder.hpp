@@ -10,7 +10,7 @@
 //                                 hop in front of the adapter
 //   * monitor(false), 1 master -> the master port feeds the adapter
 //                                 directly (the measurement fabrics used by
-//                                 the sensitivity harness and quickstart)
+//                                 the stream harness and quickstart)
 //   * processors in VlsuMode::ideal take no AXI port; a system with no AXI
 //     masters builds no fabric at all (the paper's IDEAL SoC).
 //
@@ -48,7 +48,12 @@ class SystemBuilder {
   SystemBuilder& bus_bits(unsigned bits);
   /// Simulated memory window (base address and size in bytes).
   SystemBuilder& mem_region(std::uint64_t base, std::uint64_t size);
-  /// Adapter decoupling-queue depth (see SystemConfig for the RTL mapping).
+  /// Adapter decoupling-queue depth, default 8. The paper's RTL uses
+  /// depth 4; the model's word path crosses two more registered FIFO hops
+  /// each way (the RTL's port mux request and response stages are
+  /// combinational), so depth 8 here covers the same bank round trip the
+  /// RTL's depth 4 does. See bench/ablation_queue_depth for the
+  /// sensitivity.
   SystemBuilder& queue_depth(unsigned depth);
   /// Monitored link + protocol checker in front of the adapter (default on).
   SystemBuilder& monitor(bool on);
@@ -73,11 +78,10 @@ class SystemBuilder {
   SystemBuilder& memory(const std::string& backend_name);
   /// Full backend control; `num_ports` is still derived from the bus
   /// width. Replaces the ENTIRE backend configuration, including any
-  /// earlier banks()/sram_latency() calls — call those afterwards to
-  /// override individual fields of `cfg`.
+  /// earlier banks() call — call it afterwards to override the bank count
+  /// of `cfg`.
   SystemBuilder& memory(const mem::MemoryBackendConfig& cfg);
   SystemBuilder& banks(unsigned n);
-  SystemBuilder& sram_latency(sim::Cycle cycles);
   /// Overrides the "dram" backend's bank organization, mapping policy and
   /// timing set (ignored by the other backends). Does not change which
   /// backend is selected — pair with memory("dram").
@@ -123,15 +127,12 @@ class SystemBuilder {
   /// Open-loop arrival-process load stream against a scatter-gather ring
   /// DMA master (see traffic/driver.hpp). The built system owns an
   /// OpenLoopDriver whose ring/pool/data footprint is carved from the TOP
-  /// of the memory region; drive it with System::run_open_loop. If no
-  /// sg_dma() master was attached yet, one is attached here with
-  /// `cfg.dma`. Not calling this builds no driver and the system stays
+  /// of the memory region; drive it with System::run_open_loop. The first
+  /// call attaches the scatter-gather ring DMA master the stream drives,
+  /// configured by `cfg.dma`; later calls replace the stream and keep that
+  /// master. Not calling this builds no driver and the system stays
   /// bit- and cycle-identical to one built before this subsystem existed.
   SystemBuilder& traffic(const traffic::TrafficConfig& cfg);
-  /// Attaches the scatter-gather ring DMA master the traffic stream will
-  /// drive. Call before traffic() to control the engine configuration;
-  /// traffic() auto-attaches a default-configured one otherwise.
-  MasterId sg_dma(const dma::DmaConfig& cfg = {});
 
   // ---- masters ---------------------------------------------------------
   /// Vector processor in the given VLSU mode; its lane count and bus width
@@ -201,7 +202,7 @@ class SystemBuilder {
   sim::RetryConfig retry_cfg_;
   bool traffic_set_ = false;
   traffic::TrafficConfig traffic_cfg_;
-  int sg_master_ = -1;  ///< index of the sg_dma() master, -1 = none yet
+  int sg_master_ = -1;  ///< index of the traffic() DMA master, -1 = none
   std::vector<MasterSpec> masters_;
 };
 

@@ -9,9 +9,16 @@ namespace axipack::sys {
 
 namespace {
 
+/// One of the paper's three SoCs: a single processor master in the kind's
+/// VLSU mode over the builder's default memory and adapter.
 SystemBuilder soc_builder(SystemKind kind, unsigned bus_bits,
                           unsigned banks) {
-  return SystemConfig::make(kind, bus_bits, banks).to_builder();
+  SystemBuilder b;
+  b.bus_bits(bus_bits).banks(banks);
+  b.attach_processor(kind == SystemKind::base   ? vproc::VlsuMode::base
+                     : kind == SystemKind::pack ? vproc::VlsuMode::pack
+                                                : vproc::VlsuMode::ideal);
+  return b;
 }
 
 /// Parses a decimal number from `s` starting at `pos`; advances `pos` past
@@ -63,6 +70,15 @@ void attach_extra_masters(SystemBuilder& b, SystemKind kind,
 }
 
 }  // namespace
+
+const char* system_name(SystemKind k) {
+  switch (k) {
+    case SystemKind::base: return "base";
+    case SystemKind::pack: return "pack";
+    case SystemKind::ideal: return "ideal";
+  }
+  return "?";
+}
 
 std::string scenario_name(SystemKind kind, unsigned bus_bits,
                           unsigned banks) {

@@ -43,6 +43,7 @@
 // a name to its builder and inspects the resulting memory backend.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -50,9 +51,18 @@
 #include <vector>
 
 #include "systems/builder.hpp"
-#include "systems/config.hpp"
 
 namespace axipack::sys {
+
+/// The paper's three evaluation SoCs (§III-A), all with eight lanes on a
+/// 256-bit bus (scaled together when the bus width is swept, as in
+/// Figs. 3d/3e):
+///   base  — unmodified Ara over plain AXI4 to a 17-bank word memory
+///   pack  — AXI-Pack-extended Ara, bus and controller, same memory
+///   ideal — Ara on an exclusive ideal memory, one port per lane
+enum class SystemKind : std::uint8_t { base, pack, ideal };
+
+const char* system_name(SystemKind k);
 
 struct Scenario {
   std::string name;

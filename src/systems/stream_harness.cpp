@@ -1,18 +1,26 @@
-#include "systems/sensitivity.hpp"
+#include "systems/stream_harness.hpp"
 
+#include <cassert>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "axi/burst.hpp"
 #include "axi/types.hpp"
 #include "systems/builder.hpp"
-#include "systems/sweep.hpp"
 #include "systems/system.hpp"
 #include "util/rng.hpp"
 
 namespace axipack::sys {
 
 namespace {
+
+constexpr std::uint64_t kBase = 0x8000'0000ull;
+constexpr unsigned kBusBytes = 32;
+/// Seed of the sensitivity harness's random index stream.
+constexpr std::uint64_t kIndexSeed = 1;
+/// Channel interleave granularity of the channel-scaling fabric.
+constexpr std::uint64_t kGranuleBytes = 4096;
 
 /// The ideal requestor of §III-E as a gate-safe component: pushes the
 /// prepared AR stream (one request per cycle, as AR-channel handshaking
@@ -51,12 +59,37 @@ class StreamRequestor final : public sim::Component {
   std::uint64_t payload_bytes_ = 0;
 };
 
+/// Drives one StreamRequestor per (port, AR stream) pair until every
+/// stream's R beats are drained; returns the total payload drained. The
+/// done predicate is a pure observation, so idle stretches fast-forward.
+std::uint64_t drain_streams(System& system, const std::vector<MasterId>& ports,
+                            std::vector<std::vector<axi::AxiAr>> streams,
+                            sim::Cycle max_cycles) {
+  sim::Kernel& kernel = system.kernel();
+  std::vector<std::unique_ptr<StreamRequestor>> drivers;
+  drivers.reserve(ports.size());
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    drivers.push_back(std::make_unique<StreamRequestor>(
+        kernel, system.master_port(ports[i]), std::move(streams[i])));
+  }
+  kernel.run_until(
+      [&] {
+        for (const auto& d : drivers) {
+          if (!d->done()) return false;
+        }
+        return true;
+      },
+      max_cycles, sim::Kernel::PredKind::pure);
+  std::uint64_t payload = 0;
+  for (const auto& d : drivers) payload += d->payload_bytes();
+  return payload;
+}
+
 }  // namespace
 
 SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
-  constexpr std::uint64_t kBase = 0x8000'0000ull;
   const unsigned elem_bytes = cfg.elem_bits / 8;
-  const std::uint64_t epb = cfg.bus_bytes / elem_bytes;
+  const std::uint64_t epb = kBusBytes / elem_bytes;
   const std::uint64_t elems_per_burst = epb * cfg.burst_beats;
   const std::uint64_t total_elems = elems_per_burst * cfg.num_bursts;
 
@@ -74,7 +107,7 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
   // Bare measurement fabric: one raw requestor port straight into the
   // adapter (no xbar/link hops), banks == 0 selecting the ideal backend.
   SystemBuilder builder;
-  builder.bus_bits(cfg.bus_bytes * 8)
+  builder.bus_bits(kBusBytes * 8)
       .mem_region(kBase, span + (1ull << 22))
       .monitor(false)
       .naive_kernel(cfg.naive_kernel);
@@ -87,6 +120,8 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
     mc.resp_depth = 256;
   }
   builder.memory(mc);
+  // The coalescing unit, when enabled, keeps the adapter's default
+  // grouping window.
   pack::AdapterConfig ac;
   ac.queue_depth = cfg.queue_depth;
   ac.resp_fifo_depth = 512;
@@ -94,15 +129,12 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
   if (cfg.coalesce_entries > 0) {
     ac.coalesce_enable = true;
     ac.coalesce_entries = cfg.coalesce_entries;
-    ac.coalesce_window = cfg.coalesce_window;
   }
   builder.adapter(ac);
   const MasterId requestor = builder.attach_port("ideal-requestor");
 
   std::unique_ptr<System> system = builder.build();
-  sim::Kernel& kernel = system->kernel();
   mem::BackingStore& store = system->store();
-  axi::AxiPort& port = system->master_port(requestor);
 
   // Build the burst stream.
   std::vector<axi::AxiAr> ars;
@@ -110,7 +142,7 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
     // Random indices over the table; index array placed past the table.
     const std::uint64_t table_elems = (1ull << 20) / elem_bytes;
     const std::uint64_t idx_base = kBase + (1ull << 21);
-    util::Rng rng(cfg.seed);
+    util::Rng rng(kIndexSeed);
     const unsigned ib = cfg.index_bits / 8;
     std::vector<std::uint8_t> raw(total_elems * ib);
     for (std::uint64_t i = 0; i < total_elems; ++i) {
@@ -123,7 +155,7 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
     }
     store.write(idx_base, raw.data(), raw.size());
     ars = axi::split_pack_indirect(kBase, idx_base, cfg.index_bits,
-                                   elem_bytes, total_elems, cfg.bus_bytes);
+                                   elem_bytes, total_elems, kBusBytes);
   } else {
     const std::int64_t stride_bytes =
         cfg.stride_elems * static_cast<std::int64_t>(elem_bytes);
@@ -132,53 +164,77 @@ SensitivityResult measure_read_utilization(const SensitivityConfig& cfg) {
             ? kBase
             : kBase + static_cast<std::uint64_t>(-stride_bytes) * total_elems;
     ars = axi::split_pack_strided(start, stride_bytes, elem_bytes, total_elems,
-                                  cfg.bus_bytes);
+                                  kBusBytes);
   }
 
-  // Drive bursts back-to-back through the requestor component; the done
-  // predicate is a pure observation, so idle stretches fast-forward.
-  StreamRequestor driver(kernel, port, std::move(ars));
-  kernel.run_until([&] { return driver.done(); }, 50'000'000,
-                   sim::Kernel::PredKind::pure);
-
   SensitivityResult result;
-  result.payload_bytes = driver.payload_bytes();
-  result.cycles = kernel.now();
+  result.payload_bytes =
+      drain_streams(*system, {requestor}, {std::move(ars)}, 50'000'000);
+  result.cycles = system->kernel().now();
   result.r_util = static_cast<double>(result.payload_bytes) /
-                  (static_cast<double>(result.cycles) * cfg.bus_bytes);
+                  (static_cast<double>(result.cycles) * kBusBytes);
   result.bank_conflict_losses =
       system->memory_backend()->stats().conflict_losses;
   return result;
 }
 
-std::vector<SensitivityResult> measure_read_utilization_many(
-    const std::vector<SensitivityConfig>& cfgs, unsigned threads) {
-  std::vector<SensitivityResult> results(cfgs.size());
-  SweepRunner(threads).run_indexed(cfgs.size(), [&](std::size_t i) {
-    results[i] = measure_read_utilization(cfgs[i]);
-  });
-  return results;
-}
+ChannelScalingResult measure_channel_scaling(
+    const ChannelScalingConfig& cfg) {
+  assert(cfg.masters > 0 && cfg.bytes_per_master > 0);
 
-double strided_util_avg(unsigned elem_bits, unsigned banks,
-                        unsigned bus_bytes, unsigned max_stride) {
-  std::vector<SensitivityConfig> cfgs;
-  cfgs.reserve(max_stride + 1);
-  for (unsigned s = 0; s <= max_stride; ++s) {
-    SensitivityConfig cfg;
-    cfg.bus_bytes = bus_bytes;
-    cfg.banks = banks;
-    cfg.elem_bits = elem_bits;
-    cfg.indirect = false;
-    cfg.stride_elems = static_cast<std::int64_t>(s);
-    cfg.num_bursts = 4;  // short steady-state run per stride
-    cfgs.push_back(cfg);
+  // Each master streams its own contiguous region; regions are granule
+  // multiples so every master's bursts round-robin all channels the same
+  // way regardless of its region index.
+  const std::uint64_t span =
+      (cfg.bytes_per_master + kGranuleBytes - 1) / kGranuleBytes *
+      kGranuleBytes;
+  std::uint64_t mem_size = span * cfg.masters + (1ull << 20);
+  const std::uint64_t block = kGranuleBytes * cfg.channels;
+  mem_size = (mem_size + block - 1) / block * block;
+
+  SystemBuilder builder;
+  builder.bus_bits(kBusBytes * 8)
+      .mem_region(kBase, mem_size)
+      .channels(cfg.channels, kGranuleBytes)
+      .naive_kernel(cfg.naive_kernel);
+  builder.memory("dram");
+  mem::DramTimingConfig t;
+  t.mapping = cfg.mapping;
+  builder.dram_timing(t);
+  std::vector<MasterId> ids;
+  ids.reserve(cfg.masters);
+  for (unsigned m = 0; m < cfg.masters; ++m) {
+    ids.push_back(builder.attach_port("req" + std::to_string(m)));
   }
-  double sum = 0.0;
-  for (const SensitivityResult& r : measure_read_utilization_many(cfgs)) {
-    sum += r.r_util;
+
+  std::vector<std::vector<axi::AxiAr>> streams;
+  streams.reserve(cfg.masters);
+  for (unsigned m = 0; m < cfg.masters; ++m) {
+    streams.push_back(axi::split_contiguous(kBase + m * span,
+                                            cfg.bytes_per_master, kBusBytes,
+                                            axi::Traffic::data));
   }
-  return sum / (max_stride + 1);
+
+  std::unique_ptr<System> system = builder.build();
+  ChannelScalingResult out;
+  out.payload_bytes =
+      drain_streams(*system, ids, std::move(streams), 200'000'000);
+  out.cycles = system->kernel().now();
+  const double cap =
+      static_cast<double>(out.cycles) * static_cast<double>(kBusBytes);
+  for (unsigned c = 0; c < system->num_channels(); ++c) {
+    const axi::BusStats* bs = system->bus_stats(c);
+    const double util =
+        bs == nullptr || cap == 0.0
+            ? 0.0
+            : static_cast<double>(bs->r_payload_bytes) / cap;
+    out.per_channel_r_util.push_back(util);
+    out.agg_r_util += util;
+    const mem::MemoryBackendStats ms = system->memory_backend(c)->stats();
+    out.per_channel_row_hits.push_back(ms.row_hits);
+    out.per_channel_row_misses.push_back(ms.row_misses);
+  }
+  return out;
 }
 
 }  // namespace axipack::sys

@@ -84,11 +84,6 @@ SystemBuilder& SystemBuilder::banks(unsigned n) {
   return *this;
 }
 
-SystemBuilder& SystemBuilder::sram_latency(sim::Cycle cycles) {
-  mem_cfg_.latency = cycles;
-  return *this;
-}
-
 SystemBuilder& SystemBuilder::dram_timing(const mem::DramTimingConfig& t) {
   mem_cfg_.dram = t;
   return *this;
@@ -165,14 +160,8 @@ SystemBuilder& SystemBuilder::retry(const sim::RetryConfig& cfg) {
 SystemBuilder& SystemBuilder::traffic(const traffic::TrafficConfig& cfg) {
   traffic_set_ = true;
   traffic_cfg_ = cfg;
-  if (sg_master_ < 0) sg_dma(cfg.dma);
+  if (sg_master_ < 0) sg_master_ = static_cast<int>(attach_dma(cfg.dma));
   return *this;
-}
-
-MasterId SystemBuilder::sg_dma(const dma::DmaConfig& cfg) {
-  const MasterId id = attach_dma(cfg);
-  sg_master_ = static_cast<int>(id);
-  return id;
 }
 
 MasterId SystemBuilder::attach_processor(vproc::VlsuMode mode) {

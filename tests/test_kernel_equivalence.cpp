@@ -1,8 +1,8 @@
 // Gated-vs-naive kernel equivalence: the activity-gated kernel (sleeping
 // components, wake scheduling, idle fast-forward, lazy pop accounting) must
 // report bit-identical results to the force-naive kernel (every component
-// ticked every cycle) for every registered scenario and for the sensitivity
-// harness — cycle counts, utilizations, bus/bank statistics, everything a
+// ticked every cycle) for every registered scenario and for both raw-stream
+// harnesses — cycle counts, utilizations, bus/bank statistics, everything a
 // figure could be built from.
 #include "test_common.hpp"
 
@@ -13,7 +13,7 @@
 #include "dma/descriptor.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
-#include "systems/sensitivity.hpp"
+#include "systems/stream_harness.hpp"
 #include "systems/system.hpp"
 #include "workloads/workloads.hpp"
 
@@ -413,6 +413,36 @@ TEST(KernelEquivalence, SensitivityHarness) {
     EXPECT_EQ(naive.payload_bytes, gated.payload_bytes);
     EXPECT_EQ(naive.r_util, gated.r_util);
     EXPECT_EQ(naive.bank_conflict_losses, gated.bank_conflict_losses);
+  }
+}
+
+// The multi-master stream path: several raw requestors through the
+// ChannelRouters, per-channel adapters and DRAM backends.
+TEST(KernelEquivalence, ChannelScalingHarness) {
+  for (const unsigned channels : {2u, 4u, 8u}) {
+    for (const unsigned masters : {3u, 8u}) {
+      sys::ChannelScalingConfig cfg;
+      cfg.channels = channels;
+      cfg.masters = masters;
+      cfg.bytes_per_master = 32 * 1024;
+      sys::ChannelScalingConfig naive_cfg = cfg;
+      naive_cfg.naive_kernel = true;
+      const auto naive = sys::measure_channel_scaling(naive_cfg);
+      const auto gated = sys::measure_channel_scaling(cfg);
+      const std::string point = "channels=" + std::to_string(channels) +
+                                " masters=" + std::to_string(masters);
+      EXPECT_EQ(naive.cycles, gated.cycles) << point;
+      EXPECT_EQ(naive.payload_bytes, gated.payload_bytes) << point;
+      EXPECT_EQ(naive.payload_bytes, std::uint64_t{masters} * 32 * 1024)
+          << point;
+      EXPECT_EQ(naive.per_channel_r_util, gated.per_channel_r_util) << point;
+      EXPECT_EQ(naive.per_channel_row_hits, gated.per_channel_row_hits)
+          << point;
+      EXPECT_EQ(naive.per_channel_row_misses, gated.per_channel_row_misses)
+          << point;
+      EXPECT_EQ(gated.per_channel_r_util.size(), std::size_t{channels})
+          << point;
+    }
   }
 }
 

@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "systems/channel_sweep.hpp"
 #include "systems/runner.hpp"
 #include "systems/scenario.hpp"
+#include "systems/stream_harness.hpp"
 #include "systems/sweep.hpp"
 #include "systems/system.hpp"
 #include "util/json.hpp"
